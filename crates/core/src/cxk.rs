@@ -156,9 +156,10 @@ pub(crate) fn drive_collaborative(
     for round in 1..=config.max_rounds {
         rounds = round;
 
-        // Phase 1+2: local relocation and representative computation,
-        // genuinely parallel across peers (deterministic: peers touch only
-        // their own state).
+        // Phase 1+2: local relocation and representative computation, peer
+        // by peer. Peers touch only their own state, so the result does not
+        // depend on order; the compat rayon stand-in runs them sequentially,
+        // and the simulated clock charges each peer's own work.
         let global_views: Vec<Vec<ItemView<'_>>> =
             global_reps.iter().map(Representative::views).collect();
         peers.par_iter_mut().for_each(|peer| {
@@ -490,8 +491,9 @@ pub(crate) fn relocate_slice(
     k: usize,
     work: &mut u64,
 ) -> Relocation {
-    // Work is charged analytically (one unit per item-pair comparison) so
-    // the comparison loop itself can run under rayon.
+    // Work is charged analytically, one unit per item-pair comparison. The
+    // comparisons themselves run sequentially under the compat rayon
+    // stand-in, each an allocation-free `simγJ` over a resolved matrix.
     let rep_len_sum: u64 = rep_views.iter().map(|rv| rv.len() as u64).sum();
     let choices: Vec<(u32, f64)> = local
         .par_iter()

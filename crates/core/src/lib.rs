@@ -30,6 +30,8 @@
 //! * [`localrep`] — `ComputeLocalRepresentative` and `GenerateTreeTuple`.
 //! * [`globalrep`] — `ComputeGlobalRepresentative` (weighted
 //!   meta-representatives).
+//! * [`rank`] — Fig. 6's item ranking shared by both, with `rank_C` as a
+//!   sparse self-join over term postings.
 //! * [`cxk`] — the CXK-means driver: centralized (`m = 1`) and
 //!   collaborative simulated-clock execution with full work/traffic
 //!   accounting ([`Backend::Centralized`] / [`Backend::SimulatedP2p`]).
@@ -80,6 +82,7 @@ pub mod localrep;
 pub mod model;
 pub mod outcome;
 pub mod pkmeans;
+pub mod rank;
 pub mod rep;
 pub mod threaded;
 pub mod vsm;
@@ -96,5 +99,6 @@ pub use model::{
 };
 pub use outcome::{ClusteringOutcome, RoundTrace};
 pub use pkmeans::PkConfig;
+pub use rank::{content_ranks, fig6_ranks};
 pub use rep::{conflate_items, RepItem, Representative};
 pub use vsm::{transaction_vectors, VsmConfig};

@@ -14,13 +14,12 @@
 //! plateaus. Work performed is metered into a caller-supplied counter for
 //! the simulated clock.
 
+use crate::rank::fig6_ranks;
 use crate::rep::{conflate_items, RepItem, Representative};
 use cxk_transact::item::ItemView;
 use cxk_transact::txsim::sim_gamma_j;
 use cxk_transact::{Dataset, ItemId, SimCtx};
-use cxk_util::FxHashMap;
 use cxk_xml::path::PathId;
-use rayon::prelude::*;
 
 /// Computes the local representative of `cluster` (transaction indices into
 /// `ds`). Empty clusters yield the empty representative.
@@ -42,49 +41,18 @@ pub fn compute_local_representative(
     item_ids.sort_unstable();
     item_ids.dedup();
 
-    // P_C: per distinct complete path, the number of I_C items carrying it.
-    // The path determines the tag path, kept alongside for rank_S.
-    let mut path_counts: FxHashMap<PathId, (PathId, u64)> = FxHashMap::default();
-    for &id in &item_ids {
-        let item = &ds.items[id.index()];
-        let entry = path_counts.entry(item.path).or_insert((item.tag_path, 0));
-        entry.1 += 1;
-    }
-    let p_c = path_counts.len() as f64;
-
-    // Ranks. The O(|I_C|²) content ranking is the dominant cost of §4.3.2;
-    // it is charged to the work counter in full but computed with rayon so
-    // wall-clock stays reasonable when m is small and clusters are large.
-    let gamma = ctx.params.gamma;
-    let f = ctx.params.f;
-    let path_count_list: Vec<(PathId, u64)> = path_counts
-        .values()
-        .map(|&(tag_path, h)| (tag_path, h))
-        .collect();
-    let mut ranked: Vec<(ItemId, f64)> = item_ids
-        .par_iter()
+    // Ranks (Fig. 6). The content ranking, the dominant cost of §4.3.2, is
+    // a sequential sparse self-join over the cluster's term postings:
+    // Σ_t |postings_t|² products instead of |I_C|² cosines (see `rank`).
+    let pool: Vec<(PathId, ItemView<'_>)> = item_ids
+        .iter()
         .map(|&id| {
             let item = &ds.items[id.index()];
-            // rank_S: Σ h over distinct paths whose tag path γ-structurally
-            // matches this item, normalized by |P_C|.
-            let mut rank_s_sum = 0u64;
-            for (tag_path, h) in &path_count_list {
-                if ctx.tag_sim.sim(item.tag_path, *tag_path) >= gamma {
-                    rank_s_sum += h;
-                }
-            }
-            let rank_s = rank_s_sum as f64 / p_c;
-            // rank_C: summed cosine to every cluster item (self included,
-            // per Fig. 6's sum over I_C).
-            let mut rank_c = 0.0;
-            for &other in &item_ids {
-                let o = &ds.items[other.index()];
-                rank_c += ctx.sim_c(item.view(), o.view());
-            }
-            (id, f * rank_s + (1.0 - f) * rank_c)
+            (item.path, item.view())
         })
         .collect();
-    *work += (item_ids.len() as u64) * (item_ids.len() as u64 + path_counts.len() as u64);
+    let ranks = fig6_ranks(ctx, &pool, work);
+    let mut ranked: Vec<(ItemId, f64)> = item_ids.iter().copied().zip(ranks).collect();
 
     // Sort by rank descending; ties by item id for determinism.
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));

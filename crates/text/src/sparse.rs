@@ -7,6 +7,18 @@
 
 use cxk_util::Symbol;
 
+/// [`SparseVec::cosine`] from a precomputed dot product and the two norms,
+/// bit-identical to it: kernels that resolve each norm once, or accumulate
+/// dot products over term postings, finish the cosine here.
+#[inline]
+pub fn cosine_from_dot(dot: f64, norm_a: f64, norm_b: f64) -> f64 {
+    let denom = norm_a * norm_b;
+    if denom == 0.0 {
+        return 0.0;
+    }
+    (dot / denom).clamp(0.0, 1.0)
+}
+
 /// A sparse vector over interned term symbols, sorted by term index.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseVec {
@@ -93,11 +105,7 @@ impl SparseVec {
     /// have similarity 0 with everything (including themselves) — an empty
     /// TCU carries no content evidence.
     pub fn cosine(&self, other: &SparseVec) -> f64 {
-        let denom = self.norm() * other.norm();
-        if denom == 0.0 {
-            return 0.0;
-        }
-        (self.dot(other) / denom).clamp(0.0, 1.0)
+        cosine_from_dot(self.dot(other), self.norm(), other.norm())
     }
 
     /// Merges `other` into `self` taking the element-wise maximum — the

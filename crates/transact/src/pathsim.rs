@@ -144,9 +144,24 @@ impl TagPathSimTable {
     /// Panics if either path is not registered.
     #[inline]
     pub fn sim(&self, a: PathId, b: PathId) -> f64 {
-        let i = self.rank[&a] as usize;
-        let j = self.rank[&b] as usize;
-        self.matrix[i * self.size + j]
+        self.sim_by_rank(self.dense_rank(a), self.dense_rank(b))
+    }
+
+    /// The dense rank of a registered tag path, for kernels that resolve
+    /// each path once and then look up [`Self::sim_by_rank`].
+    ///
+    /// # Panics
+    /// Panics if the path is not registered.
+    #[inline]
+    pub fn dense_rank(&self, path: PathId) -> usize {
+        self.rank[&path] as usize
+    }
+
+    /// Precomputed `sim_S` between two dense ranks from
+    /// [`Self::dense_rank`].
+    #[inline]
+    pub fn sim_by_rank(&self, a: usize, b: usize) -> f64 {
+        self.matrix[a * self.size + b]
     }
 }
 

@@ -17,7 +17,154 @@
 
 use crate::item::ItemView;
 use crate::itemsim::SimCtx;
+use cxk_text::sparse::cosine_from_dot;
 use cxk_util::FxHashSet;
+use std::cell::RefCell;
+
+/// Which terms of Eq. (1) a context evaluates: like [`SimCtx::sim`], the
+/// structural term is skipped when `f ≤ 0` and the content term when
+/// `f ≥ 1`.
+#[derive(Clone, Copy)]
+enum Mix {
+    Structure,
+    Content,
+    Both,
+}
+
+/// The kernel's working memory, one per thread, grown to the largest
+/// transaction pair seen and reused: a call allocates nothing once warm.
+#[derive(Default)]
+struct Scratch {
+    /// Dense tag-path rank of each tr1 / tr2 item (structure term).
+    rank1: Vec<usize>,
+    rank2: Vec<usize>,
+    /// TCU vector norm of each tr1 / tr2 item (content term).
+    norm1: Vec<f64>,
+    norm2: Vec<f64>,
+    /// Row-major `|tr1| × |tr2|` item similarities.
+    matrix: Vec<f64>,
+    /// Whether each tr1 / tr2 item is γ-shared.
+    hit1: Vec<bool>,
+    hit2: Vec<bool>,
+    /// `(fingerprint, γ-shared)` of every item of both transactions.
+    keys: Vec<(u64, bool)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+impl Scratch {
+    /// Marks the items of `matchγ(tr1, tr2)` in `hit1` / `hit2`; both
+    /// transactions must be non-empty. Each item's tag-path rank and vector
+    /// norm is resolved once, so the `|tr1|·|tr2|` matrix costs one table
+    /// lookup and one sparse dot per pair; every entry is bit-identical to
+    /// [`SimCtx::sim`].
+    fn mark_shared(&mut self, ctx: &SimCtx<'_>, tr1: &[ItemView<'_>], tr2: &[ItemView<'_>]) {
+        let Scratch {
+            rank1,
+            rank2,
+            norm1,
+            norm2,
+            matrix,
+            hit1,
+            hit2,
+            ..
+        } = self;
+        let f = ctx.params.f;
+        let mix = if f >= 1.0 {
+            Mix::Structure
+        } else if f <= 0.0 {
+            Mix::Content
+        } else {
+            Mix::Both
+        };
+        let table = ctx.tag_sim;
+        rank1.clear();
+        rank2.clear();
+        norm1.clear();
+        norm2.clear();
+        if !matches!(mix, Mix::Content) {
+            rank1.extend(tr1.iter().map(|a| table.dense_rank(a.tag_path)));
+            rank2.extend(tr2.iter().map(|b| table.dense_rank(b.tag_path)));
+        }
+        if !matches!(mix, Mix::Structure) {
+            norm1.extend(tr1.iter().map(|a| a.vector.norm()));
+            norm2.extend(tr2.iter().map(|b| b.vector.norm()));
+        }
+        let sim_s = |i: usize, j: usize| table.sim_by_rank(rank1[i], rank2[j]);
+        let sim_c = |i: usize, j: usize| {
+            let (a, b) = (tr1[i].vector, tr2[j].vector);
+            if a.is_empty() && b.is_empty() {
+                1.0
+            } else {
+                cosine_from_dot(a.dot(b), norm1[i], norm2[j])
+            }
+        };
+        let (n1, n2) = (tr1.len(), tr2.len());
+        matrix.clear();
+        for i in 0..n1 {
+            matrix.extend((0..n2).map(|j| match mix {
+                Mix::Structure => sim_s(i, j),
+                Mix::Content => sim_c(i, j),
+                Mix::Both => f * sim_s(i, j) + (1.0 - f) * sim_c(i, j),
+            }));
+        }
+
+        let gamma = ctx.params.gamma;
+        hit1.clear();
+        hit1.resize(n1, false);
+        hit2.clear();
+        hit2.resize(n2, false);
+        // Direction tr1 -> tr2: for each target e_h (column j), the best
+        // source rows whose similarity reaches gamma are gamma-shared.
+        for j in 0..n2 {
+            let best = (0..n1).fold(0.0f64, |best, i| best.max(matrix[i * n2 + j]));
+            if best >= gamma {
+                for (i, hit) in hit1.iter_mut().enumerate() {
+                    if matrix[i * n2 + j] == best {
+                        *hit = true;
+                    }
+                }
+            }
+        }
+        // Direction tr2 -> tr1: rows are targets.
+        for row in matrix.chunks_exact(n2) {
+            let best = row.iter().fold(0.0f64, |best, &s| best.max(s));
+            if best >= gamma {
+                for (hit, &s) in hit2.iter_mut().zip(row) {
+                    if s == best {
+                        *hit = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(|matchγ(tr1, tr2)|, |tr1 ∪ tr2|)` by fingerprint identity, after
+    /// [`Self::mark_shared`]: sorting the fingerprints groups repeats
+    /// (within or across the transactions), and a fingerprint is shared if
+    /// any of its occurrences is.
+    fn count(&mut self, tr1: &[ItemView<'_>], tr2: &[ItemView<'_>]) -> (usize, usize) {
+        self.keys.clear();
+        self.keys.extend(
+            tr1.iter()
+                .zip(&self.hit1)
+                .chain(tr2.iter().zip(&self.hit2))
+                .map(|(v, &hit)| (v.fingerprint, hit)),
+        );
+        self.keys.sort_unstable_by_key(|&(fp, _)| fp);
+        self.keys.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 |= later.1;
+            }
+            same
+        });
+        let shared = self.keys.iter().filter(|&&(_, hit)| hit).count();
+        (shared, self.keys.len())
+    }
+}
 
 /// Computes `matchγ(tr1, tr2)` as a fingerprint set.
 pub fn gamma_shared(
@@ -29,44 +176,12 @@ pub fn gamma_shared(
     if tr1.is_empty() || tr2.is_empty() {
         return shared;
     }
-    let gamma = ctx.params.gamma;
-    // Full similarity matrix, row = tr1 item, column = tr2 item.
-    let (n1, n2) = (tr1.len(), tr2.len());
-    let mut matrix = vec![0.0f64; n1 * n2];
-    for (i, &a) in tr1.iter().enumerate() {
-        for (j, &b) in tr2.iter().enumerate() {
-            matrix[i * n2 + j] = ctx.sim(a, b);
-        }
-    }
-    // Direction tr1 -> tr2: for each target e_h (column j), the best source
-    // rows whose similarity reaches gamma are gamma-shared.
-    for j in 0..n2 {
-        let mut best = 0.0f64;
-        for i in 0..n1 {
-            best = best.max(matrix[i * n2 + j]);
-        }
-        if best >= gamma {
-            for (i, a) in tr1.iter().enumerate() {
-                if matrix[i * n2 + j] == best {
-                    shared.insert(a.fingerprint);
-                }
-            }
-        }
-    }
-    // Direction tr2 -> tr1: rows are targets.
-    for (i, _) in tr1.iter().enumerate() {
-        let mut best = 0.0f64;
-        for j in 0..n2 {
-            best = best.max(matrix[i * n2 + j]);
-        }
-        if best >= gamma {
-            for (j, b) in tr2.iter().enumerate() {
-                if matrix[i * n2 + j] == best {
-                    shared.insert(b.fingerprint);
-                }
-            }
-        }
-    }
+    SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        s.mark_shared(ctx, tr1, tr2);
+        let items = tr1.iter().zip(&s.hit1).chain(tr2.iter().zip(&s.hit2));
+        shared.extend(items.filter(|(_, &hit)| hit).map(|(v, _)| v.fingerprint));
+    });
     shared
 }
 
@@ -81,17 +196,22 @@ pub fn union_size(tr1: &[ItemView<'_>], tr2: &[ItemView<'_>]) -> usize {
 /// Eq. (4): `simγJ(tr1, tr2)` in `[0, 1]`.
 ///
 /// Two empty transactions are defined to be identical (`1.0`); an empty
-/// against a non-empty is `0.0`.
+/// against a non-empty is `0.0`. Allocation-free once the calling thread's
+/// scratch buffers have grown to the largest pair it has scored.
 pub fn sim_gamma_j(ctx: &SimCtx<'_>, tr1: &[ItemView<'_>], tr2: &[ItemView<'_>]) -> f64 {
-    if tr1.is_empty() && tr2.is_empty() {
-        return 1.0;
+    if tr1.is_empty() || tr2.is_empty() {
+        return if tr1.is_empty() && tr2.is_empty() {
+            1.0
+        } else {
+            0.0
+        };
     }
-    let union = union_size(tr1, tr2);
-    if union == 0 {
-        return 0.0;
-    }
-    let shared = gamma_shared(ctx, tr1, tr2).len();
-    (shared as f64 / union as f64).clamp(0.0, 1.0)
+    SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        s.mark_shared(ctx, tr1, tr2);
+        let (shared, union) = s.count(tr1, tr2);
+        (shared as f64 / union as f64).clamp(0.0, 1.0)
+    })
 }
 
 #[cfg(test)]
