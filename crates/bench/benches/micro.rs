@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cxk_bench::{prepare, CorpusKind};
 use cxk_core::compute_local_representative;
 use cxk_corpus::dblp::{generate, DblpConfig};
-use cxk_transact::txsim::{gamma_shared, sim_gamma_j};
+use cxk_transact::txsim::{gamma_shared, sim_gamma_j, sim_gamma_j_each, PreparedReps};
 use cxk_transact::{pathsim, BuildOptions, DatasetBuilder, SimParams};
 use cxk_util::Interner;
 use cxk_xml::{count_tree_tuples, extract_tree_tuples, parse_document, ParseOptions, TupleLimits};
@@ -88,6 +88,28 @@ fn bench_transaction_similarity(c: &mut Criterion) {
     c.bench_function("gamma_shared", |b| {
         b.iter(|| black_box(gamma_shared(&ctx, &a, &z)))
     });
+    // One transaction against k representatives (dataset transactions):
+    // the one-to-many kernel over a prepared set, next to k pairwise calls.
+    for k in [16usize, 256] {
+        let reps: Vec<_> = p.dataset.transactions[1..]
+            .iter()
+            .cycle()
+            .take(k)
+            .map(|t| p.dataset.views(t))
+            .collect();
+        let prepared = PreparedReps::new(reps.iter().map(|r| r.iter().copied()));
+        let ranks = prepared.ranks(ctx.tag_sim);
+        c.bench_function(&format!("sim_gamma_j_each_k{k}"), |b| {
+            b.iter(|| {
+                let mut total = 0.0;
+                sim_gamma_j_each(&ctx, &prepared, &ranks, &a, 0..k as u32, |_, s| total += s);
+                black_box(total)
+            })
+        });
+        c.bench_function(&format!("sim_gamma_j_pairwise_k{k}"), |b| {
+            b.iter(|| black_box(reps.iter().map(|r| sim_gamma_j(&ctx, &a, r)).sum::<f64>()))
+        });
+    }
 }
 
 fn bench_local_representative(c: &mut Criterion) {

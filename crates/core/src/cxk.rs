@@ -21,8 +21,7 @@ use crate::localrep::compute_local_representative;
 use crate::outcome::{ClusteringOutcome, RoundTrace};
 use crate::rep::Representative;
 use cxk_p2p::{CostModel, RoundSample, SimClock};
-use cxk_transact::item::ItemView;
-use cxk_transact::txsim::sim_gamma_j;
+use cxk_transact::txsim::{argmax_sim_gamma_j, PreparedReps};
 use cxk_transact::{Dataset, SimCtx, SimParams};
 use cxk_util::DetRng;
 use rayon::prelude::*;
@@ -160,8 +159,7 @@ pub(crate) fn drive_collaborative(
         // by peer. Peers touch only their own state, so the result does not
         // depend on order; the compat rayon stand-in runs them sequentially,
         // and the simulated clock charges each peer's own work.
-        let global_views: Vec<Vec<ItemView<'_>>> =
-            global_reps.iter().map(Representative::views).collect();
+        let global = Representative::prepare(&global_reps);
         peers.par_iter_mut().for_each(|peer| {
             peer.work = 0;
             let phase = local_clustering_phase(
@@ -169,7 +167,7 @@ pub(crate) fn drive_collaborative(
                 &ctx,
                 &peer.local,
                 &mut peer.assignments,
-                &global_views,
+                &global,
                 k,
                 config.max_inner,
                 &mut peer.work,
@@ -422,12 +420,12 @@ pub(crate) fn local_clustering_phase(
     ctx: &SimCtx<'_>,
     local: &[usize],
     assignments: &mut [u32],
-    global_views: &[Vec<ItemView<'_>>],
+    global: &PreparedReps,
     k: usize,
     max_inner: usize,
     work: &mut u64,
 ) -> LocalPhase {
-    let first = relocate_slice(ds, ctx, local, assignments, global_views, k, work);
+    let first = relocate_slice(ds, ctx, local, assignments, global, k, work);
     let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
     for (li, &t) in local.iter().enumerate() {
         let a = assignments[li] as usize;
@@ -442,9 +440,8 @@ pub(crate) fn local_clustering_phase(
 
     let mut inner_passes = 1;
     for _ in 1..max_inner {
-        let rep_views: Vec<Vec<ItemView<'_>>> =
-            local_reps.iter().map(Representative::views).collect();
-        let pass = relocate_slice(ds, ctx, local, assignments, &rep_views, k, work);
+        let prepared = Representative::prepare(&local_reps);
+        let pass = relocate_slice(ds, ctx, local, assignments, &prepared, k, work);
         inner_passes += 1;
         if pass.relocations == 0 {
             break;
@@ -478,38 +475,31 @@ pub(crate) fn local_clustering_phase(
     }
 }
 
-/// Assigns each transaction in `local` to the best representative: trash
-/// when `simγJ` is zero for every representative, otherwise the argmax
-/// (ties to the lowest cluster id). Adds comparison work to `work`. Shared
-/// with the PK-means baseline.
+/// Assigns each transaction in `local` to the best representative of
+/// `reps` by the one relocation rule ([`argmax_sim_gamma_j`]: argmax of
+/// `simγJ`, ties to the lowest cluster id, trash when every similarity is
+/// zero). Adds comparison work to `work`. Shared with the PK-means
+/// baseline.
 pub(crate) fn relocate_slice(
     ds: &Dataset,
     ctx: &SimCtx<'_>,
     local: &[usize],
     assignments: &mut [u32],
-    rep_views: &[Vec<ItemView<'_>>],
+    reps: &PreparedReps,
     k: usize,
     work: &mut u64,
 ) -> Relocation {
     // Work is charged analytically, one unit per item-pair comparison. The
     // comparisons themselves run sequentially under the compat rayon
-    // stand-in, each an allocation-free `simγJ` over a resolved matrix.
-    let rep_len_sum: u64 = rep_views.iter().map(|rv| rv.len() as u64).sum();
+    // stand-in, each transaction scored against the whole prepared set in
+    // one call.
+    let rep_len_sum = reps.item_count() as u64;
+    let ranks = reps.ranks(ctx.tag_sim);
     let choices: Vec<(u32, f64)> = local
         .par_iter()
         .map(|&t| {
             let tv = ds.views(&ds.transactions[t]);
-            let mut best_j = k as u32;
-            let mut best_s = 0.0f64;
-            for (j, rv) in rep_views.iter().enumerate() {
-                let s = sim_gamma_j(ctx, &tv, rv);
-                if s > best_s {
-                    best_s = s;
-                    best_j = j as u32;
-                }
-            }
-            let new = if best_s == 0.0 { k as u32 } else { best_j };
-            (new, best_s)
+            argmax_sim_gamma_j(ctx, reps, &ranks, &tv, 0..reps.len() as u32, k as u32)
         })
         .collect();
     let mut result = Relocation::default();

@@ -17,8 +17,8 @@
 use crate::rank::fig6_ranks;
 use crate::rep::{conflate_items, RepItem, Representative};
 use cxk_transact::item::ItemView;
-use cxk_transact::txsim::sim_gamma_j;
-use cxk_transact::{Dataset, ItemId, SimCtx};
+use cxk_transact::txsim::sim_gamma_j_each;
+use cxk_transact::{Dataset, ItemId, PreparedReps, SimCtx};
 use cxk_xml::path::PathId;
 
 /// Computes the local representative of `cluster` (transaction indices into
@@ -90,12 +90,16 @@ pub fn generate_tree_tuple(
         return Representative::empty();
     }
 
+    // Many members against one candidate: the candidate is prepared once
+    // per extension and every member streams through the one-to-many
+    // kernel, summed in member order.
     let score = |items: &[RepItem], work: &mut u64| -> f64 {
-        let rep_views: Vec<ItemView<'_>> = items.iter().map(RepItem::view).collect();
+        let candidate = PreparedReps::new([items.iter().map(RepItem::view)]);
+        let ranks = candidate.ranks(ctx.tag_sim);
         let mut total = 0.0;
         for member in members {
-            *work += (member.len() * rep_views.len()) as u64;
-            total += sim_gamma_j(ctx, member, &rep_views);
+            *work += (member.len() * items.len()) as u64;
+            sim_gamma_j_each(ctx, &candidate, &ranks, member, [0], |_, s| total += s);
         }
         total
     };
@@ -138,6 +142,7 @@ pub fn generate_tree_tuple(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cxk_transact::txsim::sim_gamma_j;
     use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
 
     /// Small two-topic corpus: four bibliographic records, two about data

@@ -11,7 +11,7 @@
 
 use cxk_text::SparseVec;
 use cxk_transact::item::{synthetic_fingerprint, ItemId, ItemView};
-use cxk_transact::{Dataset, Transaction};
+use cxk_transact::{Dataset, PreparedReps, Transaction};
 use cxk_util::FxHashMap;
 use cxk_xml::path::PathId;
 
@@ -98,6 +98,12 @@ impl Representative {
     /// Borrowed views for the similarity functions.
     pub fn views(&self) -> Vec<ItemView<'_>> {
         self.items.iter().map(RepItem::view).collect()
+    }
+
+    /// Prepares `reps` for one-to-many `simγJ`; representative `j` keeps
+    /// id `j`.
+    pub fn prepare(reps: &[Representative]) -> PreparedReps {
+        PreparedReps::new(reps.iter().map(|r| r.items.iter().map(RepItem::view)))
     }
 
     /// Estimated wire size in bytes.

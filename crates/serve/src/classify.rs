@@ -37,12 +37,12 @@ use crate::index::{Candidates, TagPathIndex};
 use crate::remote::{RemoteClassifier, RemoteEngine};
 use crate::shard::{ShardedClassifier, ShardedEngine};
 use crate::tree::{TreeClassifier, TreeEngine};
-use cxk_core::rep::RepItem;
+use cxk_core::rep::{RepItem, Representative};
 use cxk_core::TrainedModel;
 use cxk_p2p::NetworkError;
 use cxk_text::{preprocess, ttf_itf, SparseVec, TermStatsBuilder};
 use cxk_transact::item::{item_fingerprint, ItemView};
-use cxk_transact::txsim::sim_gamma_j;
+use cxk_transact::txsim::{argmax_sim_gamma_j, sim_gamma_j_each, PreparedReps, RepRanks};
 use cxk_transact::{SimCtx, SimParams, TagPathSimTable};
 use cxk_util::{FxHashMap, FxHashSet, Interner, Symbol};
 use cxk_xml::parser::{parse_document, XmlError};
@@ -129,12 +129,13 @@ impl From<NetworkError> for ClassifyError {
 
 /// The per-worker mutable half of a classification session: private
 /// interner copies plus the derived structural-similarity table, extended
-/// lazily as unseen markup arrives (exactly like the streaming clusterer).
+/// lazily as unseen markup arrives (exactly like the streaming clusterer),
+/// and the representatives' tag-path ranks in that table.
 ///
 /// A session is built from (a shared reference to) a model and never
 /// touches it again — every mutation lands in the session's own copies, so
-/// any number of sessions can share one `Arc<TrainedModel>` and one
-/// immutable index across threads.
+/// any number of sessions can share one `Arc<TrainedModel>`, one immutable
+/// index and one [`PreparedReps`] across threads.
 #[derive(Debug)]
 pub(crate) struct QuerySession {
     /// Copy of the model's label interner (grows with unseen tags).
@@ -146,6 +147,11 @@ pub(crate) struct QuerySession {
     /// Preprocessing options frozen at training time.
     build: cxk_transact::BuildOptions,
     tag_sim: TagPathSimTable,
+    /// The epoch's representatives prepared for scoring, shared.
+    reps: Arc<PreparedReps>,
+    /// Dense ranks of `reps`' items in `tag_sim`, re-resolved only when
+    /// `tag_sim` is rebuilt.
+    rep_ranks: RepRanks,
     /// The representatives' tag paths — the permanent base of `tag_sim`.
     base_tag_paths: Vec<PathId>,
     /// Tag paths currently covered by `tag_sim` (base + query paths seen
@@ -159,8 +165,10 @@ pub(crate) struct QuerySession {
 }
 
 impl QuerySession {
-    /// Builds the session's private derived state from `model`.
-    pub(crate) fn new(model: &TrainedModel) -> Self {
+    /// Builds the session's private derived state from `model`, scoring
+    /// against `reps` (the model's representatives, prepared once per
+    /// epoch).
+    pub(crate) fn new(model: &TrainedModel, reps: Arc<PreparedReps>) -> Self {
         let rep_tag_paths = model.rep_tag_paths();
         let tag_sim = TagPathSimTable::build(&rep_tag_paths, &model.paths);
         Self {
@@ -168,6 +176,8 @@ impl QuerySession {
             vocabulary: model.vocabulary.clone(),
             paths: model.paths.clone(),
             build: model.build.clone(),
+            rep_ranks: reps.ranks(&tag_sim),
+            reps,
             tag_sim,
             known_tag_paths: rep_tag_paths.iter().copied().collect(),
             tag_path_cap: (rep_tag_paths.len() * 4).max(1024),
@@ -178,6 +188,33 @@ impl QuerySession {
     /// The similarity context for scoring this session's queries.
     pub(crate) fn sim_ctx(&self, params: SimParams) -> SimCtx<'_> {
         SimCtx::new(&self.tag_sim, params)
+    }
+
+    /// `simγJ` of one query tuple against each prepared representative of
+    /// `ids`, in order ([`sim_gamma_j_each`]).
+    pub(crate) fn sim_each(
+        &self,
+        params: SimParams,
+        views: &[ItemView<'_>],
+        ids: impl Iterator<Item = u32>,
+        each: impl FnMut(u32, f64),
+    ) {
+        let ctx = self.sim_ctx(params);
+        sim_gamma_j_each(&ctx, &self.reps, &self.rep_ranks, views, ids, each);
+    }
+
+    /// The relocation rule for one query tuple over the candidate `ids`
+    /// (ascending, so ties go to the lowest id): [`argmax_sim_gamma_j`]
+    /// against the session's prepared representatives.
+    pub(crate) fn argmax(
+        &self,
+        params: SimParams,
+        views: &[ItemView<'_>],
+        ids: impl Iterator<Item = u32>,
+        trash: u32,
+    ) -> (u32, f64) {
+        let ctx = self.sim_ctx(params);
+        argmax_sim_gamma_j(&ctx, &self.reps, &self.rep_ranks, views, ids, trash)
     }
 
     /// The session's path table (the model's, extended by query markup).
@@ -257,6 +294,7 @@ impl QuerySession {
             let mut all: Vec<PathId> = self.known_tag_paths.iter().copied().collect();
             all.sort_unstable();
             self.tag_sim = TagPathSimTable::build(&all, &self.paths);
+            self.rep_ranks = self.reps.ranks(&self.tag_sim);
         }
 
         let n_xt = leaves.len() as u32;
@@ -362,33 +400,6 @@ pub(crate) struct QueryTuples {
     pub capped: bool,
 }
 
-/// The relocation rule over one candidate stream: argmax of `simγJ` with
-/// ties to the lowest id, `(k, 0.0)` (trash) when nothing scores above
-/// zero. `ids` must ascend for the tie-break to pick the lowest id —
-/// every caller iterates a sorted candidate list or an id range.
-pub(crate) fn argmax_tuple(
-    ctx: &SimCtx<'_>,
-    views: &[ItemView<'_>],
-    rep_views: &[Vec<ItemView<'_>>],
-    ids: impl Iterator<Item = u32>,
-    trash: u32,
-) -> (u32, f64) {
-    let mut best_j = trash;
-    let mut best_s = 0.0f64;
-    for j in ids {
-        let s = sim_gamma_j(ctx, views, &rep_views[j as usize]);
-        if s > best_s {
-            best_s = s;
-            best_j = j;
-        }
-    }
-    if best_s == 0.0 {
-        (trash, 0.0)
-    } else {
-        (best_j, best_s)
-    }
-}
-
 /// Document aggregate over per-tuple assignments: summed similarity per
 /// proper cluster, ties to the lowest id; all-trash documents are trash.
 /// `capped` records whether the tuple set was truncated at extraction.
@@ -441,10 +452,10 @@ impl Classifier {
     }
 
     /// Builds a classifier over an already shared model (hot-reload
-    /// workers: the model `Arc` is cloned, the index and session are this
-    /// worker's own).
+    /// workers: the model `Arc` is cloned, the index, the prepared
+    /// representatives and the session are this worker's own).
     pub fn shared(model: Arc<TrainedModel>) -> Self {
-        let session = QuerySession::new(&model);
+        let session = QuerySession::new(&model, Arc::new(Representative::prepare(&model.reps)));
         let index = TagPathIndex::build(&model.reps, &model.paths, model.params);
         Self {
             model,
@@ -499,8 +510,6 @@ impl Classifier {
         let query = self.session.extract(xml, &self.model.term_stats)?;
         let tuples = query.transactions;
         let k = self.model.k();
-        let ctx = self.session.sim_ctx(self.model.params);
-        let rep_views: Vec<Vec<ItemView<'_>>> = self.model.reps.iter().map(|r| r.views()).collect();
 
         let mut assignments = Vec::with_capacity(tuples.len());
         for tuple in &tuples {
@@ -511,7 +520,8 @@ impl Classifier {
                 Candidates::All
             };
             let (cluster, similarity) =
-                argmax_tuple(&ctx, &views, &rep_views, candidates.ids(k), k as u32);
+                self.session
+                    .argmax(self.model.params, &views, candidates.ids(k), k as u32);
             assignments.push(TupleAssignment {
                 cluster,
                 similarity,
@@ -870,5 +880,76 @@ mod tests {
             assert_eq!(a, b, "exact tree must be bit-identical");
         }
         assert!(tree.stats().tuples > 0);
+    }
+
+    /// Bit-level identity of two document assignments.
+    fn assert_bits_equal(a: &DocumentAssignment, b: &DocumentAssignment, what: &str) {
+        assert_eq!(a.cluster, b.cluster, "{what}: cluster");
+        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{what}: score");
+        assert_eq!(a.tuples.len(), b.tuples.len(), "{what}: tuples");
+        for (ta, tb) in a.tuples.iter().zip(&b.tuples) {
+            assert_eq!(ta.cluster, tb.cluster, "{what}: tuple cluster");
+            assert_eq!(
+                ta.similarity.to_bits(),
+                tb.similarity.to_bits(),
+                "{what}: tuple similarity"
+            );
+        }
+    }
+
+    #[test]
+    fn table_rebuild_reresolves_representative_ranks() {
+        use crate::shard::{ShardedClassifier, ShardedEngine};
+        // `note` occurs in one training document only, early enough that
+        // its tag path's id sorts before representative paths interned
+        // after it. A query carrying it rebuilds the session table over
+        // the sorted known paths, which shifts the representatives' ranks.
+        let mut builder = DatasetBuilder::new(BuildOptions::default());
+        builder
+            .add_xml(r#"<dblp><inproceedings key="x"><note>draft version</note><author>A. Miner</author><title>mining frequent patterns</title><booktitle>KDD</booktitle></inproceedings></dblp>"#)
+            .unwrap();
+        for i in 0..6 {
+            builder.add_xml(&mining_doc(i)).unwrap();
+            builder.add_xml(&networking_doc(i)).unwrap();
+        }
+        let ds = builder.finish();
+        let mut config = CxkConfig::new(2);
+        config.params = SimParams::new(0.5, 0.6);
+        config.seed = 7;
+        let model = Arc::new(
+            EngineBuilder::from_cxk_config(&config)
+                .build()
+                .expect("valid test config")
+                .fit(&ds)
+                .expect("fit succeeds")
+                .into_model(&ds, BuildOptions::default()),
+        );
+        let noted = r#"<dblp><inproceedings key="q"><note>draft</note><author>A. Miner</author><title>clustering mining trees</title><booktitle>KDD</booktitle></inproceedings></dblp>"#;
+
+        let mut replicated = Classifier::shared(Arc::clone(&model));
+        let engine = Arc::new(ShardedEngine::build(Arc::clone(&model), 2));
+        let mut sharded = ShardedClassifier::new(engine);
+        let before = replicated.session.rep_ranks.clone();
+        let a = replicated.classify(noted).unwrap();
+        let b = sharded.classify(noted).unwrap();
+        assert_bits_equal(&a, &b, "unseen markup: indexed vs sharded");
+        assert_ne!(
+            replicated.session.rep_ranks, before,
+            "the rebuild must move the representatives' ranks"
+        );
+
+        // A fresh classifier never rebuilt its table: it is the reference.
+        let mut fresh = Classifier::shared(Arc::clone(&model));
+        for doc in (0..6).flat_map(|i| [mining_doc(i), networking_doc(i)]) {
+            let reference = fresh.classify_brute(&doc).unwrap();
+            let indexed = replicated.classify(&doc).unwrap();
+            let brute = replicated.classify_brute(&doc).unwrap();
+            let scatter = sharded.classify(&doc).unwrap();
+            assert_bits_equal(&indexed, &reference, "indexed after rebuild");
+            assert_bits_equal(&brute, &reference, "brute after rebuild");
+            assert_bits_equal(&scatter, &reference, "sharded after rebuild");
+        }
+        assert!(fresh.classify(noted).is_ok());
+        assert_bits_equal(&fresh.classify(noted).unwrap(), &a, "noted document");
     }
 }

@@ -37,7 +37,7 @@
 //!   vector bit-for-bit — no floating-point arithmetic happens in transit,
 //!   and weights are computed once, on the frontend.
 //! * **Unchanged gather.** Daemons run the same
-//!   [`argmax_tuple`](crate::classify) over their range (strict `>`,
+//!   [`argmax_sim_gamma_j`] over their range (strict `>`,
 //!   lowest id wins ties); the frontend gathers in ascending range order
 //!   with the same strict `>` and declares trash exactly when the global
 //!   best is `0.0`.
@@ -61,14 +61,15 @@
 //! accumulates scatter round-trip time.
 
 use crate::classify::{
-    aggregate_document, argmax_tuple, ClassifyError, DocumentAssignment, QuerySession,
-    TupleAssignment,
+    aggregate_document, ClassifyError, DocumentAssignment, QuerySession, TupleAssignment,
 };
 use crate::index::{Candidates, TagPathIndex};
+use cxk_core::rep::RepItem;
 use cxk_core::{save_model, snapshot_digest, TrainedModel};
 use cxk_p2p::{FramedConn, NetworkError, PeerId, TrafficLedger, Wire, WireCodec, WireReader};
 use cxk_text::SparseVec;
 use cxk_transact::item::ItemView;
+use cxk_transact::txsim::{argmax_sim_gamma_j, PreparedReps, RepRanks};
 use cxk_transact::{SimCtx, TagPathSimTable};
 use cxk_util::{FxHashSet, Symbol};
 use cxk_xml::path::{PathId, PathTable};
@@ -350,17 +351,21 @@ impl WireCodec for ShardMsg {
 struct RangeSession {
     paths: PathTable,
     tag_sim: TagPathSimTable,
+    /// Dense ranks of the daemon's prepared representatives in `tag_sim`,
+    /// re-resolved only when `tag_sim` is rebuilt.
+    rep_ranks: RepRanks,
     base_tag_paths: Vec<PathId>,
     known_tag_paths: FxHashSet<PathId>,
     cap: usize,
 }
 
 impl RangeSession {
-    fn new(model: &TrainedModel) -> Self {
+    fn new(model: &TrainedModel, reps: &PreparedReps) -> Self {
         let base = model.rep_tag_paths();
         let tag_sim = TagPathSimTable::build(&base, &model.paths);
         Self {
             paths: model.paths.clone(),
+            rep_ranks: reps.ranks(&tag_sim),
             tag_sim,
             known_tag_paths: base.iter().copied().collect(),
             cap: (base.len() * 4).max(1024),
@@ -373,7 +378,11 @@ impl RangeSession {
     /// `QuerySession::extract`'s maintenance, minus the parsing (the
     /// frontend already did that).
     #[allow(clippy::type_complexity)]
-    fn intern_tuples(&mut self, tuples: &[WireTuple]) -> Vec<Vec<(PathId, SparseVec, u64)>> {
+    fn intern_tuples(
+        &mut self,
+        tuples: &[WireTuple],
+        reps: &PreparedReps,
+    ) -> Vec<Vec<(PathId, SparseVec, u64)>> {
         let mut fresh = false;
         let mut request_paths: Vec<PathId> = Vec::new();
         let decoded: Vec<Vec<(PathId, SparseVec, u64)>> = tuples
@@ -406,6 +415,7 @@ impl RangeSession {
             let mut all: Vec<PathId> = self.known_tag_paths.iter().copied().collect();
             all.sort_unstable();
             self.tag_sim = TagPathSimTable::build(&all, &self.paths);
+            self.rep_ranks = reps.ranks(&self.tag_sim);
         }
         decoded
     }
@@ -416,6 +426,9 @@ struct DaemonShared {
     model: Arc<TrainedModel>,
     range: Range<u32>,
     index: TagPathIndex,
+    /// The range's representatives prepared for scoring, under their
+    /// global ids; the others are held as empty representatives.
+    reps: PreparedReps,
     digest: u64,
     shutdown: AtomicBool,
 }
@@ -468,7 +481,12 @@ impl ShardDaemon {
                 "model snapshot digest unavailable",
             )
         })?;
+        let reps = PreparedReps::new(model.reps.iter().enumerate().map(|(j, rep)| {
+            let owned = range.contains(&(j as u32));
+            rep.items.iter().filter(move |_| owned).map(RepItem::view)
+        }));
         let shared = Arc::new(DaemonShared {
+            reps,
             model,
             range: range.clone(),
             index,
@@ -576,8 +594,7 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
     let Ok(mut conn) = FramedConn::<ShardMsg>::new(stream, PeerId(u32::MAX), None) else {
         return;
     };
-    let mut session = RangeSession::new(&shared.model);
-    let rep_views: Vec<Vec<ItemView<'_>>> = shared.model.reps.iter().map(|r| r.views()).collect();
+    let mut session = RangeSession::new(&shared.model, &shared.reps);
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -600,7 +617,7 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
             },
             ShardMsg::Scatter { seq, brute, tuples } => ShardMsg::ScatterAck {
                 seq,
-                answers: answer_scatter(shared, &mut session, &rep_views, brute, &tuples),
+                answers: answer_scatter(shared, &mut session, brute, &tuples),
             },
             other => ShardMsg::Error {
                 message: format!("unexpected request: {other:?}"),
@@ -617,11 +634,10 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
 fn answer_scatter(
     shared: &DaemonShared,
     session: &mut RangeSession,
-    rep_views: &[Vec<ItemView<'_>>],
     brute: bool,
     tuples: &[WireTuple],
 ) -> Vec<ShardAnswer> {
-    let decoded = session.intern_tuples(tuples);
+    let decoded = session.intern_tuples(tuples, &shared.reps);
     let ctx = SimCtx::new(&session.tag_sim, shared.model.params);
     let trash = shared.model.trash_id();
     let range_len = (shared.range.end - shared.range.start) as usize;
@@ -642,10 +658,11 @@ fn answer_scatter(
                 shared.index.candidates(&views, &session.paths)
             };
             let scored = candidates.len(range_len) as u32;
-            let (id, sim) = argmax_tuple(
+            let (id, sim) = argmax_sim_gamma_j(
                 &ctx,
+                &shared.reps,
+                &session.rep_ranks,
                 &views,
-                rep_views,
                 candidates.ids_in(shared.range.clone()),
                 trash,
             );
@@ -791,7 +808,8 @@ impl RemoteClassifier {
     /// Builds a classifier over the shared topology and model. Cheap: no
     /// connections are dialed until the first classify.
     pub fn new(engine: Arc<RemoteEngine>, model: Arc<TrainedModel>) -> Self {
-        let session = QuerySession::new(&model);
+        // The frontend only parses and ships tuples; the daemons score.
+        let session = QuerySession::new(&model, Arc::default());
         let digest = snapshot_digest(&save_model(&model));
         let shards = engine.shard_count();
         Self {

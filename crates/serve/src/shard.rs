@@ -52,13 +52,12 @@
 //! seam a cross-process transport would replace (see `ROADMAP.md`,
 //! "Async transport").
 
-use crate::classify::{
-    aggregate_document, argmax_tuple, DocumentAssignment, QuerySession, TupleAssignment,
-};
+use crate::classify::{aggregate_document, DocumentAssignment, QuerySession, TupleAssignment};
 use crate::index::{Candidates, TagPathIndex};
-use cxk_core::rep::RepItem;
+use cxk_core::rep::{RepItem, Representative};
 use cxk_core::TrainedModel;
 use cxk_transact::item::ItemView;
+use cxk_transact::PreparedReps;
 use cxk_xml::parser::XmlError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,6 +127,8 @@ pub struct ShardStats {
 /// The shared, immutable scatter/gather engine for one model epoch.
 pub struct ShardedEngine {
     model: Arc<TrainedModel>,
+    /// Every representative prepared for scoring, shared by the sessions.
+    reps: Arc<PreparedReps>,
     shards: Vec<Shard>,
     counters: Vec<ShardCounters>,
 }
@@ -158,6 +159,7 @@ impl ShardedEngine {
             .collect();
         let counters = shards.iter().map(|_| ShardCounters::default()).collect();
         Self {
+            reps: Arc::new(Representative::prepare(&model.reps)),
             model,
             shards,
             counters,
@@ -212,11 +214,9 @@ impl ShardedEngine {
         &self,
         session: &QuerySession,
         views: &[ItemView<'_>],
-        rep_views: &[Vec<ItemView<'_>>],
         indexed: bool,
     ) -> TupleAssignment {
         let k = self.model.k() as u32;
-        let ctx = session.sim_ctx(self.model.params);
         let mut best_j = k;
         let mut best_s = 0.0f64;
         let mut scored_total = 0usize;
@@ -230,8 +230,12 @@ impl ShardedEngine {
                 Candidates::All
             };
             let scored = candidates.len(shard.len());
-            let (local_j, local_s) =
-                argmax_tuple(&ctx, views, rep_views, candidates.ids_in(shard.range()), k);
+            let (local_j, local_s) = session.argmax(
+                self.model.params,
+                views,
+                candidates.ids_in(shard.range()),
+                k,
+            );
             counters.queries.fetch_add(1, Ordering::Relaxed);
             counters.scored.fetch_add(scored as u64, Ordering::Relaxed);
             scored_total += scored;
@@ -274,7 +278,7 @@ pub struct ShardedClassifier {
 impl ShardedClassifier {
     /// Builds a worker session over `engine`.
     pub fn new(engine: Arc<ShardedEngine>) -> Self {
-        let session = QuerySession::new(engine.model());
+        let session = QuerySession::new(engine.model(), Arc::clone(&engine.reps));
         Self { engine, session }
     }
 
@@ -319,14 +323,12 @@ impl ShardedClassifier {
     fn classify_impl(&mut self, xml: &str, indexed: bool) -> Result<DocumentAssignment, XmlError> {
         let model = self.engine.model();
         let query = self.session.extract(xml, &model.term_stats)?;
-        let rep_views: Vec<Vec<ItemView<'_>>> = model.reps.iter().map(|r| r.views()).collect();
         let assignments = query
             .transactions
             .iter()
             .map(|tuple| {
                 let views: Vec<ItemView<'_>> = tuple.iter().map(RepItem::view).collect();
-                self.engine
-                    .assign_tuple(&self.session, &views, &rep_views, indexed)
+                self.engine.assign_tuple(&self.session, &views, indexed)
             })
             .collect();
         Ok(aggregate_document(model.k(), assignments, query.capped))

@@ -41,7 +41,7 @@
 //! kept nodes' leaf positions map through `leaf_order` to ids, sorted
 //! ascending, and the winner is chosen by the *unchanged* exact rule
 //! over exactly those candidates:
-//! `argmax_tuple` with strict `>`, ties to the lowest id, trash when
+//! `argmax_sim_gamma_j` with strict `>`, ties to the lowest id, trash when
 //! the best similarity is 0. Document aggregation is byte-for-byte the
 //! code every other strategy runs.
 //!
@@ -82,14 +82,12 @@
 //! state is its own [`TreeClassifier`] (a `QuerySession`), so resident
 //! tree memory is constant in the worker count.
 
-use crate::classify::{
-    aggregate_document, argmax_tuple, DocumentAssignment, QuerySession, TupleAssignment,
-};
+use crate::classify::{aggregate_document, DocumentAssignment, QuerySession, TupleAssignment};
 use cxk_core::rep::{RepItem, Representative};
 use cxk_core::{merge_representatives, TrainedModel};
 use cxk_transact::item::ItemView;
 use cxk_transact::txsim::sim_gamma_j;
-use cxk_transact::{SimCtx, TagPathSimTable};
+use cxk_transact::{PreparedReps, SimCtx, TagPathSimTable};
 use cxk_xml::parser::XmlError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,6 +174,12 @@ pub struct TreeStats {
 /// The shared, immutable representative tree for one model epoch.
 pub struct TreeEngine {
     model: Arc<TrainedModel>,
+    /// The leaves (ids `0..k`, for the exact re-rank) followed by every
+    /// internal node, level by level from the bottom (for the descent),
+    /// prepared for scoring and shared by the sessions.
+    reps: Arc<PreparedReps>,
+    /// Prepared id of each level's first node.
+    level_ids: Vec<u32>,
     config: TreeConfig,
     /// Similarity-grouped permutation of the leaf ids `0..k`: position
     /// `p` holds the representative id stored at tree position `p`.
@@ -248,7 +252,25 @@ impl TreeEngine {
             }
             levels.push(level);
         }
+        let level_ids = levels
+            .iter()
+            .scan(model.k() as u32, |next, level| {
+                let first = *next;
+                *next += level.len() as u32;
+                Some(first)
+            })
+            .collect();
+        let nodes = levels.iter().flatten().map(|node| &node.rep);
+        let reps = PreparedReps::new(
+            model
+                .reps
+                .iter()
+                .chain(nodes)
+                .map(|rep| rep.items.iter().map(RepItem::view)),
+        );
         Self {
+            reps: Arc::new(reps),
+            level_ids,
             model,
             config,
             leaf_order,
@@ -366,19 +388,22 @@ impl TreeEngine {
     /// Beam descent for one tuple: returns the ascending candidate leaf
     /// ids and the number of internal nodes scored. Only called with
     /// non-empty levels and a non-degenerate query.
-    fn descend(&self, ctx: &SimCtx<'_>, views: &[ItemView<'_>]) -> (Vec<u32>, u64) {
+    fn descend(&self, session: &QuerySession, views: &[ItemView<'_>]) -> (Vec<u32>, u64) {
         let mut visited = 0u64;
         let top_len = self.levels.last().map(Vec::len).unwrap_or(0);
         let mut frontier: Vec<usize> = (0..top_len).collect();
         for depth in (0..self.levels.len()).rev() {
             let level = &self.levels[depth];
+            let first = self.level_ids[depth];
             let mut scored: Vec<(f64, usize)> = Vec::with_capacity(frontier.len());
-            for &i in &frontier {
-                if let Some(node) = level.get(i) {
-                    scored.push((sim_gamma_j(ctx, views, &node.rep.views()), i));
-                    visited += 1;
-                }
-            }
+            let ids = frontier
+                .iter()
+                .filter(|&&i| i < level.len())
+                .map(|&i| first + i as u32);
+            session.sim_each(self.model.params, views, ids, |id, s| {
+                scored.push((s, (id - first) as usize));
+            });
+            visited += scored.len() as u64;
             // Score descending, node index ascending on ties — the
             // deterministic lowest-id bias every exact path shares.
             scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -420,11 +445,10 @@ impl TreeEngine {
         &self,
         session: &QuerySession,
         views: &[ItemView<'_>],
-        rep_views: &[Vec<ItemView<'_>>],
         pruned: bool,
     ) -> TupleAssignment {
         let k = self.model.k() as u32;
-        let ctx = session.sim_ctx(self.model.params);
+        let params = self.model.params;
         self.counters.tuples.fetch_add(1, Ordering::Relaxed);
         // γ = 0 and empty queries score 0 against every merged node:
         // the descent would keep arbitrary subtrees, so scan instead —
@@ -438,14 +462,14 @@ impl TreeEngine {
             self.counters
                 .reps_scored
                 .fetch_add(u64::from(k), Ordering::Relaxed);
-            let (cluster, similarity) = argmax_tuple(&ctx, views, rep_views, 0..k, k);
+            let (cluster, similarity) = session.argmax(params, views, 0..k, k);
             return TupleAssignment {
                 cluster,
                 similarity,
                 candidates: k as usize,
             };
         }
-        let (ids, visited) = self.descend(&ctx, views);
+        let (ids, visited) = self.descend(session, views);
         self.counters
             .nodes_visited
             .fetch_add(visited, Ordering::Relaxed);
@@ -453,7 +477,7 @@ impl TreeEngine {
             .reps_scored
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
         let candidates = ids.len();
-        let (cluster, similarity) = argmax_tuple(&ctx, views, rep_views, ids.into_iter(), k);
+        let (cluster, similarity) = session.argmax(params, views, ids.into_iter(), k);
         // Zero rescue: a pruned re-rank that found nothing (the tuple
         // would go to trash) is re-run over the full range — trash is
         // only ever declared after an exhaustive scan, so the tree
@@ -463,7 +487,7 @@ impl TreeEngine {
             self.counters
                 .reps_scored
                 .fetch_add(u64::from(k) - candidates as u64, Ordering::Relaxed);
-            let (cluster, similarity) = argmax_tuple(&ctx, views, rep_views, 0..k, k);
+            let (cluster, similarity) = session.argmax(params, views, 0..k, k);
             return TupleAssignment {
                 cluster,
                 similarity,
@@ -501,7 +525,7 @@ pub struct TreeClassifier {
 impl TreeClassifier {
     /// Builds a worker session over `engine`.
     pub fn new(engine: Arc<TreeEngine>) -> Self {
-        let session = QuerySession::new(engine.model());
+        let session = QuerySession::new(engine.model(), Arc::clone(&engine.reps));
         Self { engine, session }
     }
 
@@ -546,14 +570,12 @@ impl TreeClassifier {
     fn classify_impl(&mut self, xml: &str, pruned: bool) -> Result<DocumentAssignment, XmlError> {
         let model = self.engine.model();
         let query = self.session.extract(xml, &model.term_stats)?;
-        let rep_views: Vec<Vec<ItemView<'_>>> = model.reps.iter().map(|r| r.views()).collect();
         let assignments = query
             .transactions
             .iter()
             .map(|tuple| {
                 let views: Vec<ItemView<'_>> = tuple.iter().map(RepItem::view).collect();
-                self.engine
-                    .assign_tuple(&self.session, &views, &rep_views, pruned)
+                self.engine.assign_tuple(&self.session, &views, pruned)
             })
             .collect();
         Ok(aggregate_document(model.k(), assignments, query.capped))

@@ -5,8 +5,8 @@ use cxk_core::{
     compute_local_representative, CxkConfig, EngineBuilder, Representative, TrainedModel,
 };
 use cxk_text::{preprocess, ttf_itf, SparseVec};
-use cxk_transact::item::{item_fingerprint, Item, ItemId, ItemView};
-use cxk_transact::txsim::sim_gamma_j;
+use cxk_transact::item::{item_fingerprint, Item, ItemId};
+use cxk_transact::txsim::{argmax_sim_gamma_j, PreparedReps, RepRanks};
 use cxk_transact::{BuildOptions, Dataset, DatasetBuilder, ExactMatch, Transaction};
 use cxk_util::{FxHashMap, FxHashSet, Symbol};
 use cxk_xml::parser::{parse_document, XmlError};
@@ -85,6 +85,10 @@ pub struct StreamClusterer {
     /// Cluster per transaction (`k` = trash).
     assignments: Vec<u32>,
     reps: Vec<Representative>,
+    /// `reps` prepared for scoring arrivals, and their items' tag-path
+    /// ranks in `ds.tag_sim` (re-resolved whenever it is rebuilt).
+    prepared: PreparedReps,
+    rep_ranks: RepRanks,
     /// (path, answer) → item id, for item-domain deduplication.
     item_index: FxHashMap<(PathId, Box<str>), ItemId>,
     /// Distinct tag paths currently covered by `ds.tag_sim`.
@@ -105,6 +109,8 @@ impl StreamClusterer {
             ds: DatasetBuilder::new(BuildOptions::default()).finish(),
             assignments: Vec::new(),
             reps: Vec::new(),
+            prepared: PreparedReps::default(),
+            rep_ranks: RepRanks::default(),
             item_index: FxHashMap::default(),
             known_tag_paths: FxHashSet::default(),
             stats: StreamStats::default(),
@@ -295,6 +301,7 @@ impl StreamClusterer {
             // A markup shape never seen before: extend the precomputed
             // structural table (small and cheap relative to a refresh).
             self.ds.rebuild_tag_sim(&ExactMatch);
+            self.rep_ranks = self.prepared.ranks(&self.ds.tag_sim);
         }
 
         // Bookkeeping the batch builder would have produced.
@@ -314,26 +321,21 @@ impl StreamClusterer {
 
         // Assign the new transactions against the frozen representatives.
         let ctx = self.ds.sim_ctx(self.opts.config.params);
-        let rep_views: Vec<Vec<ItemView<'_>>> =
-            self.reps.iter().map(Representative::views).collect();
         let mut assigned = Vec::with_capacity(new_transactions.len());
         let mut trash = 0usize;
         for &t in &new_transactions {
             let tv = self.ds.views(&self.ds.transactions[t]);
-            let mut best_j = k as u32;
-            let mut best_s = 0.0f64;
-            for (j, rv) in rep_views.iter().enumerate() {
-                let s = sim_gamma_j(&ctx, &tv, rv);
-                if s > best_s {
-                    best_s = s;
-                    best_j = j as u32;
-                }
-            }
-            let choice = if best_s == 0.0 { k as u32 } else { best_j };
+            let (choice, _) = argmax_sim_gamma_j(
+                &ctx,
+                &self.prepared,
+                &self.rep_ranks,
+                &tv,
+                0..k as u32,
+                k as u32,
+            );
             trash += usize::from(choice == k as u32);
             assigned.push(choice);
         }
-        drop(rep_views);
         self.assignments.extend(&assigned);
 
         self.stats.documents_since_refresh += 1;
@@ -420,6 +422,8 @@ impl StreamClusterer {
                 .collect();
             (outcome.rounds, outcome.converged)
         };
+        self.prepared = Representative::prepare(&self.reps);
+        self.rep_ranks = self.prepared.ranks(&self.ds.tag_sim);
 
         self.stats.documents_since_refresh = 0;
         self.stats.transactions_since_refresh = 0;
@@ -431,6 +435,7 @@ impl StreamClusterer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cxk_transact::txsim::sim_gamma_j;
     use cxk_transact::SimParams;
 
     fn mining_doc(i: usize) -> String {

@@ -9,11 +9,18 @@
 //! empty transactions, empty vectors and the `f ∈ {0, 1}` branches. A
 //! mixed `f` other than 0.5 makes both products of Eq. (1) inexact, so a
 //! reassociated or fused sum shows up at the exact-similarity `γ` probes.
+//!
+//! The one-to-many kernel (`sim_gamma_j_each` over a `PreparedReps`) must
+//! return, for every representative, the bits of the pairwise kernel and
+//! of the oracle; its argmax must follow the relocation rule (strict `>`,
+//! ties to the earliest id, trash when nothing scores above zero).
 
 use cxk_text::SparseVec;
 use cxk_transact::item::ItemView;
 use cxk_transact::pathsim::TagPathSimTable;
-use cxk_transact::txsim::{gamma_shared, sim_gamma_j, union_size};
+use cxk_transact::txsim::{
+    argmax_sim_gamma_j, gamma_shared, sim_gamma_j, sim_gamma_j_each, union_size, PreparedReps,
+};
 use cxk_transact::{SimCtx, SimParams};
 use cxk_util::{FxHashSet, Interner, Symbol};
 use cxk_xml::path::{PathId, PathTable};
@@ -211,8 +218,133 @@ fn assert_matches_oracle(fx: &Fixture, tr1: &[ItemView<'_>], tr2: &[ItemView<'_>
     assert_eq!(union_size(tr1, tr2), oracle_union(tr1, tr2));
 }
 
+/// The relocation rule written out over the oracle.
+fn oracle_argmax(
+    ctx: &SimCtx<'_>,
+    query: &[ItemView<'_>],
+    reps: &[Vec<ItemView<'_>>],
+    ids: &[u32],
+    trash: u32,
+) -> (u32, f64) {
+    let mut best_j = trash;
+    let mut best_s = 0.0f64;
+    for &j in ids {
+        let s = oracle_sim_gamma_j(ctx, query, &reps[j as usize]);
+        if s > best_s {
+            best_s = s;
+            best_j = j;
+        }
+    }
+    if best_s == 0.0 {
+        (trash, 0.0)
+    } else {
+        (best_j, best_s)
+    }
+}
+
+/// Asserts that the one-to-many kernel scores `query` against every
+/// representative with the bits of the pairwise kernel and of the oracle,
+/// over the `(f, γ)` grid plus `γ` at exact item similarities, and that its
+/// argmax agrees with the oracle's over all ids and over every other id.
+fn assert_each_matches_pairwise(fx: &Fixture, reps: &[Vec<ItemView<'_>>], query: &[ItemView<'_>]) {
+    let prepared = PreparedReps::new(reps.iter().map(|r| r.iter().copied()));
+    assert_eq!(prepared.len(), reps.len());
+    let ranks = prepared.ranks(&fx.table);
+    let all: Vec<u32> = (0..reps.len() as u32).collect();
+    let odd: Vec<u32> = all.iter().copied().filter(|j| j % 2 == 1).collect();
+    let trash = reps.len() as u32;
+    for f in FS {
+        let probe = SimCtx::new(&fx.table, SimParams::new(f, 0.5));
+        let exact: Vec<f64> = reps
+            .iter()
+            .flat_map(|rep| {
+                query
+                    .iter()
+                    .zip(rep.iter().rev())
+                    .map(|(&a, &b)| oracle_sim(&probe, a, b))
+            })
+            .take(6)
+            .collect();
+        for gamma in GAMMAS.into_iter().chain(exact) {
+            let ctx = SimCtx::new(&fx.table, SimParams::new(f, gamma));
+            let mut seen: Vec<(u32, f64)> = Vec::new();
+            sim_gamma_j_each(
+                &ctx,
+                &prepared,
+                &ranks,
+                query,
+                all.iter().copied(),
+                |j, s| seen.push((j, s)),
+            );
+            assert_eq!(seen.len(), reps.len(), "one score per id");
+            for (j, got) in seen {
+                let rep = &reps[j as usize];
+                let pairwise = sim_gamma_j(&ctx, query, rep);
+                let want = oracle_sim_gamma_j(&ctx, query, rep);
+                assert_eq!(
+                    got.to_bits(),
+                    pairwise.to_bits(),
+                    "rep {j} f={f} γ={gamma}: {got} vs pairwise {pairwise}"
+                );
+                assert_eq!(got.to_bits(), want.to_bits(), "rep {j} vs oracle");
+            }
+            for ids in [&all, &odd] {
+                let (j, s) =
+                    argmax_sim_gamma_j(&ctx, &prepared, &ranks, query, ids.iter().copied(), trash);
+                let (want_j, want_s) = oracle_argmax(&ctx, query, reps, ids, trash);
+                assert_eq!(
+                    (j, s.to_bits()),
+                    (want_j, want_s.to_bits()),
+                    "argmax f={f} γ={gamma} ids={ids:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Query items may also carry `foreign` vectors, whose terms (≥ 100) no
+/// representative item has.
+fn query_views<'a>(fx: &'a Fixture, foreign: &'a [SparseVec], spec: &TxSpec) -> Vec<ItemView<'a>> {
+    spec.iter()
+        .map(|&(p, v, fingerprint)| {
+            let v = v % (fx.vectors.len() + foreign.len());
+            ItemView {
+                tag_path: fx.tag_paths[p % fx.tag_paths.len()],
+                vector: fx
+                    .vectors
+                    .get(v)
+                    .unwrap_or_else(|| &foreign[v - fx.vectors.len()]),
+                fingerprint,
+            }
+        })
+        .collect()
+}
+
+fn foreign_vectors() -> Vec<SparseVec> {
+    vec![
+        SparseVec::from_pairs(vec![(Symbol(100), 1.0), (Symbol(101), 0.5)]),
+        SparseVec::from_pairs(vec![(Symbol(1), 0.7), (Symbol(150), 2.0)]),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn one_to_many_matches_pairwise_and_oracle(
+        spec in fixture_strategy(),
+        reps in proptest::collection::vec(tx_strategy(), 0..6),
+        query in tx_strategy(),
+    ) {
+        let fx = build_fixture(&spec);
+        let foreign = foreign_vectors();
+        let rep_views: Vec<Vec<ItemView<'_>>> = reps.iter().map(|r| views(&fx, r)).collect();
+        assert_each_matches_pairwise(&fx, &rep_views, &query_views(&fx, &foreign, &query));
+        // Every representative scored against the set it belongs to.
+        for rep in &rep_views {
+            assert_each_matches_pairwise(&fx, &rep_views, rep);
+        }
+    }
 
     #[test]
     fn kernel_matches_naive_oracle(
@@ -247,5 +379,84 @@ fn scratch_reuse_across_shapes_keeps_results_exact() {
     let dup: TxSpec = vec![(0, 0, 3), (1, 3, 3), (2, 2, 4)];
     for (x, y) in [(&big, &big), (&small, &big), (&dup, &small), (&big, &dup)] {
         assert_matches_oracle(&fx, &views(&fx, x), &views(&fx, y));
+    }
+}
+
+#[test]
+fn argmax_breaks_ties_to_the_earliest_id_and_trashes_zero() {
+    let spec: FixtureSpec = (
+        vec![vec![0, 1, 2], vec![3, 4]],
+        vec![vec![(0, 1.0), (1, 2.5)], vec![(5, 1.0)]],
+    );
+    let fx = build_fixture(&spec);
+    let a: TxSpec = vec![(0, 0, 1)];
+    let b: TxSpec = vec![(1, 1, 2)];
+    // Representatives 1 and 2 are identical; 0 and 3 share nothing with `a`.
+    let reps: Vec<Vec<ItemView<'_>>> = [&b, &a, &a, &vec![]]
+        .into_iter()
+        .map(|r| views(&fx, r))
+        .collect();
+    let prepared = PreparedReps::new(reps.iter().map(|r| r.iter().copied()));
+    let ranks = prepared.ranks(&fx.table);
+    let ctx = SimCtx::new(&fx.table, SimParams::new(0.5, 0.9));
+    let query = views(&fx, &a);
+    let argmax =
+        |ids: &[u32]| argmax_sim_gamma_j(&ctx, &prepared, &ranks, &query, ids.iter().copied(), 4);
+    assert_eq!(argmax(&[0, 1, 2, 3]), (1, 1.0), "tie goes to the lower id");
+    assert_eq!(argmax(&[2, 3]), (2, 1.0));
+    assert_eq!(
+        argmax(&[0, 3]),
+        (4, 0.0),
+        "no similarity above zero is trash"
+    );
+    assert_eq!(argmax(&[]), (4, 0.0), "no candidates is trash");
+    // An empty query only matches the empty representative; a zero score
+    // still never wins.
+    let empty: Vec<ItemView<'_>> = Vec::new();
+    let got = argmax_sim_gamma_j(&ctx, &prepared, &ranks, &empty, 0..4, 4);
+    assert_eq!(got, (3, 1.0));
+    let mut scores = Vec::new();
+    sim_gamma_j_each(&ctx, &prepared, &ranks, &empty, 0..4, |j, s| {
+        scores.push((j, s))
+    });
+    assert_eq!(scores, vec![(0, 0.0), (1, 0.0), (2, 0.0), (3, 1.0)]);
+}
+
+#[test]
+fn one_to_many_calls_nest_and_reuse_scratch() {
+    let spec: FixtureSpec = (
+        vec![vec![0, 1, 2], vec![0, 1, 3], vec![4, 5]],
+        vec![
+            vec![(0, 1.0), (1, 2.5)],
+            vec![(1, 0.5), (2, 1.5)],
+            vec![],
+            vec![(0, 1.0), (1, 2.5)],
+        ],
+    );
+    let fx = build_fixture(&spec);
+    let big: TxSpec = (0..6).map(|i| (i, i + 1, i as u64)).collect();
+    let small: TxSpec = vec![(1, 2, 9)];
+    let dup: TxSpec = vec![(0, 0, 3), (1, 3, 3), (2, 2, 4)];
+    let reps: Vec<Vec<ItemView<'_>>> = [&big, &small, &dup]
+        .into_iter()
+        .map(|r| views(&fx, r))
+        .collect();
+    let prepared = PreparedReps::new(reps.iter().map(|r| r.iter().copied()));
+    let ranks = prepared.ranks(&fx.table);
+    let ctx = SimCtx::new(&fx.table, SimParams::new(0.3, 0.4));
+    // Scoring each representative against the whole set from inside the
+    // outer call's callback must leave both calls exact.
+    sim_gamma_j_each(&ctx, &prepared, &ranks, &reps[0], 0..3, |j, s| {
+        assert_eq!(
+            s.to_bits(),
+            sim_gamma_j(&ctx, &reps[0], &reps[j as usize]).to_bits()
+        );
+        sim_gamma_j_each(&ctx, &prepared, &ranks, &reps[j as usize], 0..3, |i, t| {
+            let want = sim_gamma_j(&ctx, &reps[j as usize], &reps[i as usize]);
+            assert_eq!(t.to_bits(), want.to_bits());
+        });
+    });
+    for query in [&big, &small, &dup, &big] {
+        assert_each_matches_pairwise(&fx, &reps, &views(&fx, query));
     }
 }
