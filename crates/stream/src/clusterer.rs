@@ -658,4 +658,16 @@ mod tests {
         assert_eq!(s.assignments().len(), 0);
         assert_eq!(s.representatives().len(), 2);
     }
+
+    #[test]
+    fn arrivals_after_an_empty_bootstrap_go_to_trash() {
+        // Both representatives are empty and the tag-path table covers none
+        // of the arrival's paths: every transaction scores 0 against both.
+        let mut s = StreamClusterer::new(&[], options(2)).expect("empty bootstrap");
+        let report = s.push(&mining_doc(0)).expect("well-formed");
+        assert!(!report.assignments.is_empty());
+        assert!(report.assignments.iter().all(|&c| c == 2));
+        assert_eq!(report.trash, report.assignments.len());
+        assert_eq!(s.assignments(), report.assignments.as_slice());
+    }
 }

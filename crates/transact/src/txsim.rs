@@ -186,6 +186,10 @@ struct Scratch {
     dots: Vec<f64>,
     /// The `dots` cells written by the current call.
     touched: Vec<usize>,
+    /// The representatives a one-to-many call scores, in the order given.
+    ids: Vec<u32>,
+    /// Their non-empty item ranges, ascending, adjacent ones merged.
+    spans: Vec<Range<usize>>,
 }
 
 thread_local! {
@@ -240,6 +244,86 @@ impl Scratch {
             },
         );
         mark_shared(matrix, shape, ctx.params.gamma, hit1, hit2);
+    }
+
+    /// Resolves the one-to-many query once — its tag-path ranks and norms
+    /// (as the mix needs them) and its fingerprint order — and adds every
+    /// content dot product between it and the items of the representatives
+    /// in `ids` into `dots`, noting each written cell in `touched`.
+    ///
+    /// A posting list is walked span by span (two binary searches per span
+    /// of scored items) unless it is short against the number of spans,
+    /// in which case it is walked whole: cells of unscored items are
+    /// harmless, and reset with the rest. Either way each cell receives its
+    /// query item's terms in ascending order.
+    fn prepare_query(
+        &mut self,
+        ctx: &SimCtx<'_>,
+        mix: Mix,
+        reps: &PreparedReps,
+        query: &[ItemView<'_>],
+    ) {
+        let n1 = query.len();
+        self.rank1.clear();
+        self.norm1.clear();
+        if mix.structure() {
+            let table = ctx.tag_sim;
+            self.rank1
+                .extend(query.iter().map(|a| table.dense_rank(a.tag_path)));
+        }
+        sort_by_fingerprint(&mut self.order1, query);
+        if !mix.content() {
+            return;
+        }
+        self.norm1.extend(query.iter().map(|a| a.vector.norm()));
+        let cells = reps.item_count() * n1;
+        if self.dots.len() < cells {
+            self.dots.resize(cells, 0.0);
+        }
+        let Scratch {
+            dots,
+            touched,
+            ids,
+            spans,
+            ..
+        } = self;
+        spans.clear();
+        spans.extend(ids.iter().map(|&j| reps.items(j)).filter(|r| !r.is_empty()));
+        spans.sort_unstable_by_key(|r| r.start);
+        spans.dedup_by(|next, span| {
+            let adjacent = next.start <= span.end;
+            if adjacent {
+                span.end = span.end.max(next.end);
+            }
+            adjacent
+        });
+        let mut add = |i: usize, postings: &[(u32, f64)], wa: f64| {
+            for &(b, wb) in postings {
+                let cell = b as usize * n1 + i;
+                if dots[cell] == 0.0 {
+                    touched.push(cell);
+                }
+                dots[cell] += wa * wb;
+            }
+        };
+        for (i, a) in query.iter().enumerate() {
+            for (term, wa) in a.vector.iter() {
+                let mut rest = reps.postings(term.0);
+                if rest.len() <= 4 * spans.len() {
+                    add(i, rest, wa);
+                    continue;
+                }
+                for span in spans.iter() {
+                    rest = &rest[rest.partition_point(|&(b, _)| (b as usize) < span.start)..];
+                    let n = rest.partition_point(|&(b, _)| (b as usize) < span.end);
+                    add(i, &rest[..n], wa);
+                    rest = &rest[n..];
+                    if rest.is_empty() {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     /// `(|matchγ(tr1, tr2)|, |tr1 ∪ tr2|)` after [`Self::mark_pair`].
@@ -431,13 +515,16 @@ impl PreparedReps {
 /// `reps.ranks(ctx.tag_sim)`.
 ///
 /// The query's tag-path ranks, norms and fingerprint order are resolved
-/// once per call, and every content dot product at once by walking the
-/// postings of the query's terms (`dots[b][i] += w_i · w_b`): each pair's
-/// products are added in ascending term order starting from `0.0`, the
-/// merge order of [`cxk_text::SparseVec::dot`], and pairs that share no
-/// term keep exactly `0.0`. Each scored representative then costs its
-/// `|query| · |rep_j|` table lookups, the γ-marking and a merge of the two
-/// fingerprint runs. `each` may itself call the kernels.
+/// once per call, and only if a scored representative is non-empty (an
+/// empty one scores `0.0` without a lookup, as in the pairwise kernel).
+/// Every content dot product comes at once from the postings of the
+/// query's terms, restricted to the scored representatives' item ranges
+/// (`dots[b][i] += w_i · w_b`): each pair's products are added in
+/// ascending term order starting from `0.0`, the merge order of
+/// [`cxk_text::SparseVec::dot`], and pairs that share no term keep exactly
+/// `0.0`. Each scored representative then costs its `|query| · |rep_j|`
+/// table lookups, the γ-marking and a merge of the two fingerprint runs.
+/// `each` may itself call the kernels.
 pub fn sim_gamma_j_each(
     ctx: &SimCtx<'_>,
     reps: &PreparedReps,
@@ -455,52 +542,32 @@ pub fn sim_gamma_j_each(
     // Out of the thread-local for the whole call, so a nested call from
     // `each` works on scratch of its own.
     let mut s = SCRATCH.with(RefCell::take);
+    s.ids.clear();
+    s.ids.extend(ids);
     let mix = Mix::of(ctx.params.f);
     let table = ctx.tag_sim;
     let n1 = query.len();
-    s.rank1.clear();
-    s.norm1.clear();
-    if mix.structure() {
-        s.rank1
-            .extend(query.iter().map(|a| table.dense_rank(a.tag_path)));
+    if s.ids.iter().any(|&j| !reps.items(j).is_empty()) {
+        s.prepare_query(ctx, mix, reps, query);
     }
-    if mix.content() {
-        s.norm1.extend(query.iter().map(|a| a.vector.norm()));
-        let cells = reps.item_count() * n1;
-        if s.dots.len() < cells {
-            s.dots.resize(cells, 0.0);
-        }
-        let Scratch { dots, touched, .. } = &mut s;
-        for (i, a) in query.iter().enumerate() {
-            for (term, wa) in a.vector.iter() {
-                for &(b, wb) in reps.postings(term.0) {
-                    let cell = b as usize * n1 + i;
-                    if dots[cell] == 0.0 {
-                        touched.push(cell);
-                    }
-                    dots[cell] += wa * wb;
-                }
-            }
-        }
-    }
-    sort_by_fingerprint(&mut s.order1, query);
 
-    for j in ids {
+    let Scratch {
+        rank1,
+        norm1,
+        matrix,
+        hit1,
+        hit2,
+        order1,
+        dots,
+        ids,
+        ..
+    } = &mut s;
+    for &j in ids.iter() {
         let items = reps.items(j);
         if items.is_empty() {
             each(j, 0.0);
             continue;
         }
-        let Scratch {
-            rank1,
-            norm1,
-            matrix,
-            hit1,
-            hit2,
-            order1,
-            dots,
-            ..
-        } = &mut s;
         let lo = items.start;
         let shape = (n1, items.len());
         fill_matrix(

@@ -246,12 +246,20 @@ fn oracle_argmax(
 /// representative with the bits of the pairwise kernel and of the oracle,
 /// over the `(f, γ)` grid plus `γ` at exact item similarities, and that its
 /// argmax agrees with the oracle's over all ids and over every other id.
+/// Scores are checked over all ids, every other id, each id alone and all
+/// ids backwards with a repeat, so the postings are walked whole and span
+/// by span.
 fn assert_each_matches_pairwise(fx: &Fixture, reps: &[Vec<ItemView<'_>>], query: &[ItemView<'_>]) {
     let prepared = PreparedReps::new(reps.iter().map(|r| r.iter().copied()));
     assert_eq!(prepared.len(), reps.len());
     let ranks = prepared.ranks(&fx.table);
     let all: Vec<u32> = (0..reps.len() as u32).collect();
     let odd: Vec<u32> = all.iter().copied().filter(|j| j % 2 == 1).collect();
+    let backwards: Vec<u32> = all.iter().rev().chain(all.first()).copied().collect();
+    let id_lists: Vec<Vec<u32>> = [all.clone(), odd.clone(), backwards]
+        .into_iter()
+        .chain(all.iter().map(|&j| vec![j]))
+        .collect();
     let trash = reps.len() as u32;
     for f in FS {
         let probe = SimCtx::new(&fx.table, SimParams::new(f, 0.5));
@@ -267,26 +275,29 @@ fn assert_each_matches_pairwise(fx: &Fixture, reps: &[Vec<ItemView<'_>>], query:
             .collect();
         for gamma in GAMMAS.into_iter().chain(exact) {
             let ctx = SimCtx::new(&fx.table, SimParams::new(f, gamma));
-            let mut seen: Vec<(u32, f64)> = Vec::new();
-            sim_gamma_j_each(
-                &ctx,
-                &prepared,
-                &ranks,
-                query,
-                all.iter().copied(),
-                |j, s| seen.push((j, s)),
-            );
-            assert_eq!(seen.len(), reps.len(), "one score per id");
-            for (j, got) in seen {
-                let rep = &reps[j as usize];
-                let pairwise = sim_gamma_j(&ctx, query, rep);
-                let want = oracle_sim_gamma_j(&ctx, query, rep);
-                assert_eq!(
-                    got.to_bits(),
-                    pairwise.to_bits(),
-                    "rep {j} f={f} γ={gamma}: {got} vs pairwise {pairwise}"
+            for ids in &id_lists {
+                let mut seen: Vec<(u32, f64)> = Vec::new();
+                sim_gamma_j_each(
+                    &ctx,
+                    &prepared,
+                    &ranks,
+                    query,
+                    ids.iter().copied(),
+                    |j, s| seen.push((j, s)),
                 );
-                assert_eq!(got.to_bits(), want.to_bits(), "rep {j} vs oracle");
+                let order: Vec<u32> = seen.iter().map(|&(j, _)| j).collect();
+                assert_eq!(&order, ids, "one score per id, in the order given");
+                for (j, got) in seen {
+                    let rep = &reps[j as usize];
+                    let pairwise = sim_gamma_j(&ctx, query, rep);
+                    let want = oracle_sim_gamma_j(&ctx, query, rep);
+                    assert_eq!(
+                        got.to_bits(),
+                        pairwise.to_bits(),
+                        "rep {j} f={f} γ={gamma} ids={ids:?}: {got} vs pairwise {pairwise}"
+                    );
+                    assert_eq!(got.to_bits(), want.to_bits(), "rep {j} vs oracle");
+                }
             }
             for ids in [&all, &odd] {
                 let (j, s) =
@@ -458,5 +469,70 @@ fn one_to_many_calls_nest_and_reuse_scratch() {
     });
     for query in [&big, &small, &dup, &big] {
         assert_each_matches_pairwise(&fx, &reps, &views(&fx, query));
+    }
+}
+
+#[test]
+fn scattered_ids_over_long_postings_stay_exact() {
+    // Forty representatives share terms 0 and 1, so those posting lists are
+    // long against a handful of scored ids and are walked span by span.
+    let spec: FixtureSpec = (
+        vec![vec![0, 1, 2], vec![0, 1, 3], vec![4]],
+        vec![
+            vec![(0, 1.0), (1, 2.5)],
+            vec![(0, 0.3), (1, 0.5), (2, 1.5)],
+            vec![(1, 0.25), (3, 4.0)],
+            vec![],
+        ],
+    );
+    let fx = build_fixture(&spec);
+    let specs: Vec<TxSpec> = (0..40usize)
+        .map(|j| match j % 5 {
+            0 => vec![],
+            1 => vec![(0, 0, j as u64)],
+            2 => vec![(1, 1, 1), (2, 2, j as u64), (0, 3, 2)],
+            3 => vec![(2, 0, 3), (0, 1, 3)],
+            _ => vec![(1, 2, j as u64), (1, 0, 4), (2, 1, 5)],
+        })
+        .collect();
+    let reps: Vec<Vec<ItemView<'_>>> = specs.iter().map(|r| views(&fx, r)).collect();
+    let prepared = PreparedReps::new(reps.iter().map(|r| r.iter().copied()));
+    let ranks = prepared.ranks(&fx.table);
+    let queries: [TxSpec; 3] = [
+        vec![(0, 0, 1), (1, 1, 1), (2, 2, 9)],
+        vec![(1, 1, 2), (0, 3, 7)],
+        vec![(2, 2, 3)],
+    ];
+    let id_lists: [Vec<u32>; 6] = [
+        vec![7],
+        vec![3, 17, 30],
+        vec![39, 0, 21, 21, 8],
+        (10..20).collect(),
+        (0..40).step_by(9).collect(),
+        (0..40).collect(),
+    ];
+    for query in &queries {
+        let query = views(&fx, query);
+        for f in FS {
+            for gamma in GAMMAS {
+                let ctx = SimCtx::new(&fx.table, SimParams::new(f, gamma));
+                for ids in &id_lists {
+                    let mut seen = Vec::new();
+                    sim_gamma_j_each(
+                        &ctx,
+                        &prepared,
+                        &ranks,
+                        &query,
+                        ids.iter().copied(),
+                        |j, s| seen.push((j, s.to_bits())),
+                    );
+                    let want: Vec<(u32, u64)> = ids
+                        .iter()
+                        .map(|&j| (j, sim_gamma_j(&ctx, &query, &reps[j as usize]).to_bits()))
+                        .collect();
+                    assert_eq!(seen, want, "f={f} γ={gamma} ids={ids:?}");
+                }
+            }
+        }
     }
 }
